@@ -10,7 +10,10 @@
 #    throwaway path and exits non-zero if the headline micro-benchmark
 #    (mvm_forms_16bit_128pos) falls below its 5x speedup floor, so a perf
 #    regression fails the check set exactly like a correctness regression.
-#    Runs twice: once on the default thread backend, once with
+#    The smoke plan includes the two IR-drop records, which assert
+#    fused == matvec_int_reference and sparse == dense on a 128-position
+#    block before timing, so every push checks the analog tier's
+#    bit-exactness too.  Runs twice: once on the default thread backend, once with
 #    `--backend process` — the multi-worker benches then fan tiles out to
 #    spawn-context worker processes over shared-memory planes, so the
 #    whole process tier (spawn, ship, merge, unlink) gets an end-to-end

@@ -18,9 +18,6 @@ speedups are *recorded*, not asserted from memory:
 * ``insitu_network_batch8_w{1,4}`` — whole-network inference through the
   ``repro.runtime`` tiled executor at 1 and 4 workers versus the serial
   full-batch dense-engine forward (the pre-runtime production path);
-* ``cell_iv_sinh_table`` — the tabulated sinh cell curve versus the closed
-  form (recorded because it *loses* on NumPy's SIMD sinh — the measured
-  reason the table defaults off);
 * ``signed_matvec_mixed`` — the signed decomposition of
   :func:`repro.reram.inference._signed_matvec` (one fused positions-axis
   call) versus the seed's two sequential reference passes;
@@ -252,31 +249,6 @@ def bench_mvm_sparse_irdrop(repeats: int = 3) -> Dict:
         engine=engine)
 
 
-def bench_cell_iv_table(repeats: int = 3) -> Dict:
-    """Tabulated sinh cell curve vs the closed form, on a kernel-sized batch.
-
-    Recorded so the default (table off) is a measured decision: NumPy's
-    SIMD-vectorized ``np.sinh`` beats the multi-pass gather, so the
-    expected speedup here is *below* 1.  The table stays available
-    (``CellIV.tabulated()`` / ``NonidealEngine(auto_tabulate=True)``) for
-    platforms with slow transcendentals; its interpolation error is orders
-    of magnitude below the ADC rounding threshold (asserted bit-exact at
-    the engine level in the tests).
-    """
-    closed = CellIV(nonlinearity=2.0)
-    table = closed.tabulated()
-    rng = np.random.default_rng(9)
-    g = rng.uniform(1e-7, 1e-5, size=(1 << 19,))
-    dv = rng.uniform(-0.05, 0.3, size=g.shape)
-    err = float(np.abs(table.current(g, dv) - closed.current(g, dv)).max())
-    record = _paired_record(
-        "cell_iv_sinh_table", lambda: table.current(g, dv),
-        lambda: closed.current(g, dv), repeats,
-        meta={"elements": int(g.size), "table_points": table.table_points,
-              "max_abs_error_a": err})
-    return record
-
-
 def _post_relu_network(seed: int = 0):
     """A FORMS-shaped small CNN: pruned filters, polarized weights.
 
@@ -446,18 +418,18 @@ def _suite_plan(smoke: bool, repeats: int, backend: Optional[str] = None):
          lambda: bench_insitu_network(4, repeats=repeats, backend=backend)),
         ("signed_matvec_mixed", lambda: bench_signed_matvec(repeats=repeats)),
         ("die_cache_rebuild", lambda: bench_die_cache(repeats=repeats)),
+        # the IR-drop pair asserts fused == reference and sparse == dense
+        # before timing: the smoke's bit-exactness check of the analog tier
+        (f"mvm_forms_16bit_{_POSITIONS}pos_irdrop",
+         lambda: bench_mvm_irdrop(repeats=repeats)),
+        (f"mvm_forms_16bit_{_POSITIONS}pos_sparse_irdrop",
+         lambda: bench_mvm_sparse_irdrop(repeats=repeats)),
     ]
     if not smoke:
         plan += [
             (f"mvm_forms_16bit_{_POSITIONS}pos_variation",
              lambda: bench_mvm("forms", repeats=repeats, variation=0.1,
                                suffix="_variation")),
-            (f"mvm_forms_16bit_{_POSITIONS}pos_irdrop",
-             lambda: bench_mvm_irdrop(repeats=repeats)),
-            (f"mvm_forms_16bit_{_POSITIONS}pos_sparse_irdrop",
-             lambda: bench_mvm_sparse_irdrop(repeats=repeats)),
-            ("cell_iv_sinh_table",
-             lambda: bench_cell_iv_table(repeats=repeats)),
             ("im2col_lenet_batch8", lambda: bench_im2col(repeats=repeats)),
         ]
     return plan

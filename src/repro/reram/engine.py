@@ -80,6 +80,12 @@ FUSED_KERNEL_AUTOTUNE_ENV = "FORMS_FUSED_KERNEL_AUTOTUNE"
 _kernel_override: Optional[int] = None
 _kernel_autotuned: Optional[int] = None
 
+#: contraction order of the dense kernel's digital recombination
+#: (``jpcs,js,jc->pc``: slices first, then fragment signs), fixed so
+#: ``np.einsum`` does not re-plan it on every chunk.  The operands are
+#: int64, so every order is exact.
+_RECOMBINE_PATH = ["einsum_path", (0, 1), (0, 1)]
+
 #: minimum average per-fragment grid size (elements of the conversion
 #: tensor) for the CSR scheduler to win over the dense masked kernel: below
 #: this, per-task Python overhead outweighs the skipped conversions (a
@@ -816,8 +822,8 @@ class InSituLayerEngine:
     def _job_memory_factor(self, m: int) -> int:
         """Per-job memory multiplier of ``_job_currents`` beyond the current
         tensor itself — used to scale the kernel chunk budget.  The base
-        einsum read allocates nothing extra; the batched IR-drop solver
-        overrides this (several ``m``-row intermediates per job)."""
+        einsum read allocates nothing extra; the IR-drop row sweep
+        overrides this (a few accumulators of the current's size)."""
         return 1
 
     def _signal_path_ideal(self) -> bool:
@@ -1194,9 +1200,12 @@ class InSituLayerEngine:
         held = self.sample_hold.hold(currents, copy=False)
         digital = self._convert_batch(held, active, stats)  # (B*n, K, cols, s)
         vals = digital.reshape(n_planes, B, lp.size, cols, slices)
-        res = np.einsum("nbkcs,s,n,b->kc", vals, self._place,
-                        self._plane_signs, bit_weight[lb],
-                        optimize=True)                      # (K, cols)
+        # One shift-and-add weight per (plane, bit, slice); int64 keeps the
+        # contraction exact in any order, and tensordot plans nothing.
+        weights = ((self._plane_signs[:, None] * bit_weight[lb])[:, :, None]
+                   * self._place)                           # (n, B, s)
+        res = np.tensordot(weights, vals,
+                           axes=([0, 1, 2], [0, 1, 4]))     # (K, cols)
         frag_signs = self._frag_signs()
         if frag_signs is not None:
             res = res * frag_signs[f]
@@ -1326,10 +1335,9 @@ class InSituLayerEngine:
                 held = self.sample_hold.hold(currents, copy=False)
                 digital = self._convert_batch(held, active, stats)
             if col_w is None:
-                return np.einsum("jpcs,js->pc", digital, slice_w,
-                                 optimize=True)
+                return np.einsum("jpcs,js->pc", digital, slice_w)
             return np.einsum("jpcs,js,jc->pc", digital, slice_w, col_w,
-                             optimize=True)
+                             optimize=_RECOMBINE_PATH)
 
         acc = np.zeros((positions, cols), dtype=np.int64)
         for partial, chunk_stats in self._fan_out(pool, run_chunk, chunks):

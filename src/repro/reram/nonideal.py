@@ -78,70 +78,20 @@ class CellIV:
     which satisfies ``I(v_read) = g * v_read`` exactly and loses current
     superlinearly as IR drop pulls ``dv`` below ``v_read``.  ``nonlinearity``
     (k) of 0 recovers the linear cell; 2-3 is typical for HfOx ReRAM.
-
-    ``table_points > 0`` evaluates the sinh through a precomputed uniform
-    interpolation table over ``|dv| <= table_range * v_read`` instead of the
-    transcendental — the hot-loop form of the analog engine tier.  The
-    interpolation error is orders of magnitude below the ADC's rounding
-    threshold (asserted against the closed form in the tests), and voltages
-    outside the tabulated range fall back to the closed form, so the table
-    is an accuracy-neutral speed knob.
     """
 
     nonlinearity: float = 2.0
     v_read: float = 0.3
-    table_points: int = 0
-    table_range: float = 1.5
 
     def __post_init__(self):
         if self.nonlinearity < 0:
             raise ValueError("nonlinearity must be non-negative")
         if self.v_read <= 0:
             raise ValueError("v_read must be positive")
-        if self.table_points < 0:
-            raise ValueError("table_points must be non-negative")
-        if self.table_points and self.table_points < 2:
-            raise ValueError("a usable table needs at least 2 points")
-        if self.table_range <= 0:
-            raise ValueError("table_range must be positive")
 
     @property
     def is_linear(self) -> bool:
         return self.nonlinearity == 0.0
-
-    def tabulated(self, points: int = 8193) -> "CellIV":
-        """Copy of this curve with the sinh lookup table enabled."""
-        from dataclasses import replace
-        return replace(self, table_points=points)
-
-    def _table(self):
-        """Cached ``(inv_step, values)`` of sinh(k u)/sinh(k), u in +-range."""
-        cached = getattr(self, "_table_cache", None)
-        if cached is None:
-            k = self.nonlinearity
-            u = np.linspace(-self.table_range, self.table_range,
-                            self.table_points)
-            values = np.sinh(k * u) / np.sinh(k)
-            inv_step = (self.table_points - 1) / (2.0 * self.table_range)
-            cached = (inv_step, values)
-            object.__setattr__(self, "_table_cache", cached)  # frozen class
-        return cached
-
-    def _sinh_ratio(self, u: np.ndarray) -> np.ndarray:
-        """sinh(k u)/sinh(k) — tabulated linear interpolation when enabled."""
-        k = self.nonlinearity
-        if not self.table_points:
-            return np.sinh(k * u) / np.sinh(k)
-        inv_step, values = self._table()
-        pos = (u + self.table_range) * inv_step
-        idx = np.clip(np.floor(pos), 0, self.table_points - 2).astype(np.intp)
-        frac = pos - idx
-        lo = values[idx]
-        interp = lo + (values[idx + 1] - lo) * frac
-        outside = np.abs(u) > self.table_range
-        if np.any(outside):
-            interp = np.where(outside, np.sinh(k * u) / np.sinh(k), interp)
-        return interp
 
     def current(self, g: np.ndarray, dv: np.ndarray) -> np.ndarray:
         """Cell current at chord conductance ``g`` and applied voltage ``dv``."""
@@ -149,7 +99,9 @@ class CellIV:
         dv = np.asarray(dv, dtype=np.float64)
         if self.is_linear:
             return g * dv
-        return g * self.v_read * self._sinh_ratio(dv / self.v_read)
+        k = self.nonlinearity
+        ratio = np.sinh(k * (dv / self.v_read)) / np.sinh(k)
+        return g * self.v_read * ratio
 
     def effective_conductance(self, g: np.ndarray, dv: np.ndarray) -> np.ndarray:
         """Secant conductance ``I(dv)/dv`` with a finite ``dv -> 0`` limit."""
@@ -317,57 +269,96 @@ def first_order_currents(conductance: np.ndarray, v_in: np.ndarray,
                          cell_iv: Optional[CellIV] = None) -> np.ndarray:
     """First-order IR-drop estimate (one perturbation pass, no linear solve).
 
-    Computes the ideal per-cell currents, charges each wire segment with the
-    current it would carry, accumulates the resulting voltage drops along
-    the word line (driver to cell) and bit line (cell to sense amplifier),
-    and re-evaluates the cell currents at the degraded voltages — through
-    the nonlinear I-V curve when ``cell_iv`` is given.  Accurate to a few
+    Charges each wire segment with the current the ideal cells would push
+    through it, accumulates the resulting voltage drops along the word line
+    (driver to cell) and bit line (cell to sense amplifier), and
+    re-evaluates the cell currents at the degraded voltages — through the
+    nonlinear I-V curve when ``cell_iv`` is given.  Accurate to a few
     percent for realistic wire resistances (validated against
-    :func:`solve_ir_drop` in the tests); cost is O(rows x cols).
+    :func:`solve_ir_drop` in the tests).
+
+    The model is linear in the drive up to the cell curve, so it splits
+    into a position-independent operator per fragment and a sweep over the
+    drive:
+
+    * the word-line drop at cell (i, c) is ``v[i] * Rrow[i, c]`` with
+      ``Rrow[i, c] = r_driver * G[i, 0] + r_wire * sum_{0 < c' <= c}
+      G[i, c']``, where ``G[i, c]`` sums the row's conductances from
+      column c on — the conductance alone fixes it;
+    * the bit-line lift is ``sum_q g[q, c] w(i, q) v[q]`` with
+      ``w(i, q) = r_sense + r_wire * (m - 1 - max(i, q))``: it starts
+      at ``sum_q g[q] w(q, q) v[q]`` on row 0 and falls by ``r_wire``
+      times the column's running current from each row to the next.
+
+    Both are evaluated in one sweep over the ``m`` rows on ``(jobs, cols,
+    batch)`` tensors, accumulating in a fixed row order through elementwise
+    operations only, so every output element's arithmetic is independent
+    of how many fragments or drive patterns share the call (the engine's
+    bit-exactness contract across job packing relies on this; a BLAS
+    contraction over the rows would break it).  Cost is
+    O(jobs x rows x cols x batch).
 
     Batched evaluation: ``conductance`` may carry arbitrary leading axes
     ``(..., rows, cols)`` — one independent crossbar (fragment) per leading
     index — with ``v_in`` shaped ``(..., rows)`` or ``(..., rows, batch)``.
-    Every fragment and every drive pattern is evaluated in one vectorized
-    pass; the in-situ engines feed whole (bit-plane, fragment) job batches
-    through here at once.  Returns ``(..., cols)`` or ``(..., cols, batch)``.
+    Returns ``(..., cols)`` or ``(..., cols, batch)``.
     """
     conductance = np.asarray(conductance, dtype=np.float64)
     v_in = np.asarray(v_in, dtype=np.float64)
     if conductance.ndim < 2:
         raise ValueError("conductance must be at least 2-D (..., rows, cols)")
-    rows = conductance.shape[-2]
+    lead = conductance.shape[:-2]
+    rows, cols = conductance.shape[-2:]
     squeeze = v_in.ndim == conductance.ndim - 1
     v = v_in[..., None] if squeeze else v_in
     if v.shape[:-1] != conductance.shape[:-1]:
         raise ValueError(f"v_in shape {v_in.shape} incompatible with "
                          f"conductance shape {conductance.shape}")
+    batch = v.shape[-1]
 
-    # Ideal per-cell currents, batch axis last: (..., rows, cols, B).
-    cell_i = conductance[..., None] * v[..., :, None, :]
-    zeros_col = np.zeros_like(cell_i[..., :, :1, :])
-    zeros_row = np.zeros_like(cell_i[..., :1, :, :])
-    # Word line: segment j carries the current of every cell at >= j;
-    # the drop accumulated at cell (i, j) sums segments 0..j-1 plus the
-    # driver resistance carrying the whole row current.
-    row_tail = np.flip(np.cumsum(np.flip(cell_i, axis=-2), axis=-2), axis=-2)
-    row_drop = wire.r_driver_ohm * row_tail[..., :, :1, :] + wire.r_wire_ohm * (
-        np.concatenate([zeros_col,
-                        np.cumsum(row_tail[..., :, 1:, :], axis=-2)], axis=-2))
-    # Bit line: segment below row i carries the current of every cell at
-    # <= i; the lift at cell (i, j) sums segments i..rows-2 plus the
-    # sense resistance carrying the whole column current.
-    col_head = np.cumsum(cell_i, axis=-3)
-    col_lift = wire.r_sense_ohm * col_head[..., rows - 1:rows, :, :] + \
-        wire.r_wire_ohm * np.concatenate(
-            [np.flip(np.cumsum(np.flip(col_head[..., :-1, :, :], axis=-3),
-                               axis=-3), axis=-3),
-             zeros_row], axis=-3)
-    effective_v = v[..., :, None, :] - row_drop - col_lift
-    if cell_iv is not None and not cell_iv.is_linear:
-        out = cell_iv.current(conductance[..., None], effective_v).sum(axis=-3)
-    else:
-        out = (conductance[..., None] * effective_v).sum(axis=-3)
+    # Per-fragment operators, row-major (rows, jobs, cols, 1) so each sweep
+    # step reads one contiguous slice; the drive broadcasts as (rows, jobs,
+    # 1, batch).  On a nonlinear cell, voltages are swept in units of
+    # v_read / k, so the cell curve is I = g v_read / sinh(k) * sinh(dv).
+    g = np.ascontiguousarray(np.moveaxis(
+        conductance.reshape((-1, rows, cols)), 1, 0))
+    drive = np.moveaxis(v.reshape((-1, rows, batch)), 1, 0)[:, :, None, :]
+    nonlinear = cell_iv is not None and not cell_iv.is_linear
+    scale = cell_iv.nonlinearity / cell_iv.v_read if nonlinear else 1.0
+    tail = np.cumsum(g[..., ::-1], axis=-1)[..., ::-1]
+    r_row = wire.r_driver_ohm * tail[..., :1] + np.concatenate(
+        [np.zeros_like(tail[..., :1]),
+         wire.r_wire_ohm * np.cumsum(tail[..., 1:], axis=-1)], axis=-1)
+    keep = (scale * (1.0 - r_row))[..., None]
+    diag_w = wire.r_sense_ohm + wire.r_wire_ohm * (rows - 1 - np.arange(rows))
+    lift_w = ((scale * diag_w)[:, None, None] * g)[..., None]
+    step_w = (scale * wire.r_wire_ohm * g)[..., None]
+    gain = (g * (cell_iv.v_read / np.sinh(cell_iv.nonlinearity))
+            if nonlinear else g)[..., None]
+
+    shape = (g.shape[1], cols, batch)
+    tmp = np.empty(shape)
+    # Bit-line lift of row 0: sum_q g[q] w(q, q) v[q].
+    lift = np.multiply(lift_w[0], drive[0], out=np.empty(shape))
+    for q in range(1, rows):
+        np.multiply(lift_w[q], drive[q], out=tmp)
+        lift += tmp
+    running = np.zeros(shape) if wire.r_wire_ohm and rows > 1 else None
+    out = np.zeros(shape)
+    for i in range(rows):
+        # (scaled) cell voltage v[i] (1 - Rrow[i]) - lift[i], through the curve
+        np.multiply(keep[i], drive[i], out=tmp)
+        tmp -= lift
+        if nonlinear:
+            np.sinh(tmp, out=tmp)
+        tmp *= gain[i]
+        out += tmp
+        if running is not None and i < rows - 1:
+            # lift[i + 1] = lift[i] - r_wire * (column current of rows <= i)
+            np.multiply(step_w[i], drive[i], out=tmp)
+            running += tmp
+            lift -= running
+    out = out.reshape(lead + (cols, batch))
     return out[..., 0] if squeeze else out
 
 

@@ -1,7 +1,7 @@
 """Contract tests of the sparse/runtime perf-suite additions."""
 
-from repro.perf.suite import (bench_cell_iv_table, bench_insitu_network,
-                              bench_mvm_sparse, default_suite)
+from repro.perf.suite import (bench_insitu_network, bench_mvm_sparse,
+                              default_suite)
 
 
 class TestSparseBench:
@@ -26,9 +26,13 @@ class TestSparseBench:
         assert "mvm_forms_16bit_128pos_sparse" in names
         assert "insitu_network_batch8_w1" in names
         assert "insitu_network_batch8_w4" in names
+        # the IR-drop pair carries the smoke's analog bit-exactness checks
+        assert "mvm_forms_16bit_128pos_irdrop" in names
+        assert "mvm_forms_16bit_128pos_sparse_irdrop" in names
         full = default_suite(smoke=False)
-        assert "mvm_forms_16bit_128pos_sparse_irdrop" in full
-        assert "cell_iv_sinh_table" in full
+        assert set(names) <= set(full)
+        assert "mvm_forms_16bit_128pos_variation" in full
+        assert "mvm_forms_16bit_128pos_variation" not in names
 
 
 class TestNetworkBench:
@@ -41,10 +45,3 @@ class TestNetworkBench:
         assert record["speedup"] > 1.0
         assert record["engine_stats_per_call"]["conversions"] > 0
 
-
-class TestCellIVTableBench:
-    def test_table_error_recorded_and_tiny(self):
-        record = bench_cell_iv_table(repeats=1)
-        # interpolation error far below any ADC rounding threshold
-        assert record["meta"]["max_abs_error_a"] < 1e-9
-        assert record["meta"]["table_points"] > 0

@@ -6,8 +6,8 @@ no-clip shortcut per task); these tests pin it bit-exact against both the
 retained dense bit-plane kernel (``matvec_int_dense``) and the
 cycle-by-cycle oracle (``matvec_int_reference``) across mapping schemes,
 tiers, edge-case inputs and worker counts — plus the keyed read-noise
-substreams that make even noisy engines bit-exact across paths, the
-kernel-budget knob, and the tabulated sinh cell curve.
+substreams that make even noisy engines bit-exact across paths, and the
+kernel-budget knob.
 """
 
 import numpy as np
@@ -358,39 +358,3 @@ class TestKernelBudgetKnob:
             candidates=candidates, repeats=1)
         assert chosen in candidates
 
-
-class TestSinhTable:
-    def test_table_matches_closed_form_within_tolerance(self):
-        closed = CellIV(nonlinearity=2.0)
-        table = closed.tabulated()
-        rng = np.random.default_rng(21)
-        g = rng.uniform(1e-7, 1e-5, size=20000)
-        dv = rng.uniform(-0.45, 0.45, size=g.shape)   # inside table range
-        err = np.abs(table.current(g, dv) - closed.current(g, dv))
-        # far below one ADC LSB of current (g_step * v_read ~ 1e-6 A)
-        assert err.max() < 1e-10
-
-    def test_out_of_range_falls_back_to_closed_form(self):
-        closed = CellIV(nonlinearity=2.0)
-        table = closed.tabulated()
-        dv = np.array([2.0 * closed.v_read * closed.table_range])
-        np.testing.assert_allclose(table.current(np.array([1e-5]), dv),
-                                   closed.current(np.array([1e-5]), dv))
-
-    def test_engine_digitized_outputs_bit_exact(self):
-        """Within ADC quantization the table changes nothing — bit-exact."""
-        levels, geom = polarized_case((4, 2, 3, 3), 4, seed=22)
-        x = sparse_block(geom, 4, positions=10)
-        mapped = map_layer(levels, geom, QSPEC, scheme="forms",
-                           signs=infer_signs(levels, geom))
-        wire = WireModel(r_wire_ohm=5.0)
-
-        def engine(auto_tabulate):
-            return NonidealEngine(mapped, ideal_device(), activation_bits=12,
-                                  wire=wire, cell_iv=CellIV(nonlinearity=2.0),
-                                  auto_tabulate=auto_tabulate)
-
-        tabulated = engine(True)
-        assert tabulated.cell_iv.table_points > 0
-        np.testing.assert_array_equal(tabulated.matvec_int(x),
-                                      engine(False).matvec_int(x))

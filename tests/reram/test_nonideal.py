@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.reram.nonideal import (FAULT_NONE, FAULT_SA0, FAULT_SA1,
@@ -149,6 +149,110 @@ class TestFirstOrderModel:
         v = np.full(rows, 0.3)
         out = first_order_currents(g, v, WireModel(r_wire_ohm=1.0))
         assert (out <= ideal_currents(g, v) + 1e-18).all()
+
+
+
+def cumsum_chain_oracle(conductance, v_in, wire, cell_iv=None):
+    """The original first-order chain: per-cell currents, then strided
+    cumulative sums along the word and bit lines.  Kept here as an
+    independent oracle for the row-sweep implementation."""
+    conductance = np.asarray(conductance, dtype=np.float64)
+    v_in = np.asarray(v_in, dtype=np.float64)
+    rows = conductance.shape[-2]
+    squeeze = v_in.ndim == conductance.ndim - 1
+    v = v_in[..., None] if squeeze else v_in
+    cell_i = conductance[..., None] * v[..., :, None, :]
+    zeros_col = np.zeros_like(cell_i[..., :, :1, :])
+    zeros_row = np.zeros_like(cell_i[..., :1, :, :])
+    row_tail = np.flip(np.cumsum(np.flip(cell_i, axis=-2), axis=-2), axis=-2)
+    row_drop = wire.r_driver_ohm * row_tail[..., :, :1, :] + wire.r_wire_ohm * (
+        np.concatenate([zeros_col,
+                        np.cumsum(row_tail[..., :, 1:, :], axis=-2)], axis=-2))
+    col_head = np.cumsum(cell_i, axis=-3)
+    col_lift = wire.r_sense_ohm * col_head[..., rows - 1:rows, :, :] + \
+        wire.r_wire_ohm * np.concatenate(
+            [np.flip(np.cumsum(np.flip(col_head[..., :-1, :, :], axis=-3),
+                               axis=-3), axis=-3),
+             zeros_row], axis=-3)
+    effective_v = v[..., :, None, :] - row_drop - col_lift
+    iv = cell_iv if cell_iv is not None else LINEAR_CELL
+    out = iv.current(conductance[..., None], effective_v).sum(axis=-3)
+    return out[..., 0] if squeeze else out
+
+
+CELLS = {"none": None, "linear": LINEAR_CELL,
+         "k2": CellIV(nonlinearity=2.0), "k3": CellIV(nonlinearity=3.0)}
+
+
+def engine_like_case(rng, jobs, m, cols, batch):
+    """Fragment conductances and a bit-serial drive (0 or v_read, with a
+    few intermediate levels) shaped like one engine kernel batch."""
+    g = rng.uniform(1e-7, 1e-5, size=(jobs, m, cols))
+    v = 0.3 * rng.integers(0, 2, size=(jobs, m, batch)).astype(np.float64)
+    v[rng.random(v.shape) < 0.1] *= 0.5
+    return g, v
+
+
+class TestFirstOrderPackingInvariance:
+    """Each output element's arithmetic must not depend on which other
+    fragments or drive patterns share the call: the engine packs jobs and
+    positions into kernel batches differently on its fused, dense and
+    reference paths, and promises bit-identical results across them."""
+
+    @seed(20240)
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.sampled_from([1, 4, 8, 16]),
+           cols=st.integers(min_value=1, max_value=40),
+           jobs=st.integers(min_value=1, max_value=6),
+           batch=st.integers(min_value=1, max_value=64),
+           cell=st.sampled_from(sorted(CELLS)),
+           r_wire=st.sampled_from([0.0, 2.5, 5.0]),
+           case_seed=st.integers(min_value=0, max_value=2 ** 16))
+    def test_subsets_bit_identical_to_full_call(self, m, cols, jobs, batch,
+                                                cell, r_wire, case_seed):
+        rng = np.random.default_rng(case_seed)
+        g, v = engine_like_case(rng, jobs, m, cols, batch)
+        wire = WireModel(r_wire_ohm=r_wire)
+        cell_iv = CELLS[cell]
+        full = first_order_currents(g, v, wire, cell_iv=cell_iv)
+        assert full.shape == (jobs, cols, batch)
+
+        job_sel = np.flatnonzero(rng.random(jobs) < 0.5)
+        if job_sel.size == 0:
+            job_sel = np.array([jobs - 1])
+        pos_sel = np.flatnonzero(rng.random(batch) < 0.5)
+        if pos_sel.size == 0:
+            pos_sel = np.array([0])
+        sub = first_order_currents(g[job_sel], v[job_sel][..., pos_sel],
+                                   wire, cell_iv=cell_iv)
+        np.testing.assert_array_equal(sub, full[job_sel][..., pos_sel])
+
+        # B = 1 and the squeezed 1-D drive of a single crossbar
+        j, p = int(job_sel[0]), int(pos_sel[0])
+        one = first_order_currents(g[j], v[j][:, p:p + 1], wire,
+                                   cell_iv=cell_iv)
+        np.testing.assert_array_equal(one, full[j][:, p:p + 1])
+        squeezed = first_order_currents(g[j], v[j][:, p], wire,
+                                        cell_iv=cell_iv)
+        np.testing.assert_array_equal(squeezed, full[j][:, p])
+        # a squeezed drive on batched fragments
+        flat = first_order_currents(g, v[..., p], wire, cell_iv=cell_iv)
+        np.testing.assert_array_equal(flat, full[..., p])
+
+    @pytest.mark.parametrize("m", [1, 4, 8, 16])
+    @pytest.mark.parametrize("cell", sorted(CELLS))
+    @pytest.mark.parametrize("r_wire", [0.0, 5.0])
+    @pytest.mark.parametrize("squeeze", [False, True])
+    def test_matches_cumsum_chain_oracle(self, m, cell, r_wire, squeeze):
+        rng = np.random.default_rng(m * 101 + int(r_wire))
+        g, v = engine_like_case(rng, 6, m, 24, 9)
+        if squeeze:
+            v = v[..., 3]
+        wire = WireModel(r_wire_ohm=r_wire, r_driver_ohm=1.5,
+                         r_sense_ohm=2.0)
+        got = first_order_currents(g, v, wire, cell_iv=CELLS[cell])
+        want = cumsum_chain_oracle(g, v, wire, cell_iv=CELLS[cell])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestNonlinearSolver:
