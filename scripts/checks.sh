@@ -21,15 +21,17 @@
 #    tests/runtime/test_backend_equivalence.py already ran the
 #    serial/thread/process differential matrix at workers 1 and 2 in
 #    step 1.)
-# 3. `bench_serving.py --smoke` — two open-loop Poisson arrival-rate
-#    points through the batching inference server, each asserting
-#    bit-identity of every served output against the serial single-image
-#    path (a serving regression fails here before it ships).
-# 4. `bench_multitenant.py --smoke` — two mixed-traffic points: two
-#    tenants on one shared pool under the two-class SLA policy, each
-#    point asserting per-model bit-identity under mixed-class contention
-#    before recording (records merge without clobbering the engine or
-#    serving entries in the BENCH payload).
+# Steps 3, 4, 6, 7, 9 and 11 run `benchmarks/bench_load.py --smoke`, the
+# one open-loop load driver, once per scenario, so a failure names its
+# scenario.  Every point asserts its contract before it is recorded, and
+# records merge without clobbering other kinds in the BENCH payload.
+# 3. `--scenario poisson` — two open-loop Poisson arrival-rate points
+#    through the batching inference server, each asserting bit-identity
+#    of every served output against the serial single-image path (a
+#    serving regression fails here before it ships).
+# 4. `--scenario multitenant` — two mixed-traffic points: two tenants on
+#    one shared pool under the two-class SLA policy, each point
+#    asserting per-model bit-identity under mixed-class contention.
 # 5. `python -m repro serve --http 0 --http-demo` — the HTTP wire smoke:
 #    launch the two-tenant demo server on an ephemeral port, replay
 #    concurrent mixed-class requests through real sockets, assert every
@@ -39,11 +41,11 @@
 #    must survive the strict exposition parser, `/v1/usage` must bill
 #    exactly the served/shed counts, and a served request's span tree
 #    must come back from `/v1/trace/<id>`.
-# 6. `bench_http.py --smoke` — two open-loop Poisson rate points driven
+# 6. `--scenario http` — two open-loop Poisson rate points driven
 #    as real `POST /v1/infer` traffic (client round-trip + server-side
 #    latency recorded; bit-identity of decoded outputs asserted per
 #    point).
-# 7. `bench_chaos.py --smoke` — two mixed-traffic points under scripted
+# 7. `--scenario chaos` — two mixed-traffic points under scripted
 #    die faults: stuck-at flips land on both tenants' live dies, each
 #    point asserting checksum detection + online re-program recovery,
 #    bit-identity of every completed request against the *pre-fault*
@@ -54,7 +56,7 @@
 #    completed response bit-identical to the serial forward, every
 #    failure a documented receipt, zero hung requests, and that the
 #    killed replica rejoined.
-# 9. `bench_obs.py --smoke` — the observability-overhead smoke: the
+# 9. `--scenario obs` — the observability-overhead smoke: the
 #    open-loop serving point driven with the telemetry bundle armed and
 #    with Observability.disabled(), interleaved, asserting the two modes'
 #    outputs byte-identical before recording (the full run additionally
@@ -64,7 +66,7 @@
 #    weighted-fair arbitration, plus an SSE streaming leg
 #    (`?stream=1`) whose per-event outputs and terminal `done` tally
 #    are verified against the serial forward and the usage meter.
-# 11. `bench_async.py --smoke` — two open-loop rate points with a
+# 11. `--scenario async` — two open-loop rate points with a
 #    barrier-synchronized crowd of concurrent connections held open on
 #    the asyncio front end (peak asserted server-side); bit-identity of
 #    every 200 and a documented shed receipt on every 503 asserted per
@@ -91,37 +93,37 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/run_perf_suite.py \
     --smoke --backend process \
     -o "${PERF_GATE_PROCESS_OUTPUT:-/tmp/forms_perf_gate_process.json}"
 
-echo "==> serving smoke: bench_serving.py --smoke"
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_serving.py \
-    --smoke --requests 12 \
+echo "==> serving smoke: bench_load.py --smoke --scenario poisson"
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_load.py \
+    --smoke --scenario poisson --requests 12 \
     -o "${SERVING_BENCH_OUTPUT:-/tmp/forms_serving_smoke.json}"
 
-echo "==> multi-tenant smoke: bench_multitenant.py --smoke"
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_multitenant.py \
-    --smoke --requests 12 \
+echo "==> multi-tenant smoke: bench_load.py --smoke --scenario multitenant"
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_load.py \
+    --smoke --scenario multitenant --requests 12 \
     -o "${MULTITENANT_BENCH_OUTPUT:-/tmp/forms_multitenant_smoke.json}"
 
 echo "==> http wire smoke: serve --http 0 --http-demo"
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro serve \
     --http 0 --http-demo --models 2 --requests 12 --rate 400
 
-echo "==> http bench smoke: bench_http.py --smoke"
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_http.py \
-    --smoke --requests 12 \
+echo "==> http bench smoke: bench_load.py --smoke --scenario http"
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_load.py \
+    --smoke --scenario http --requests 12 \
     -o "${HTTP_BENCH_OUTPUT:-/tmp/forms_http_smoke.json}"
 
-echo "==> chaos recovery smoke: bench_chaos.py --smoke"
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_chaos.py \
-    --smoke --requests 12 \
+echo "==> chaos recovery smoke: bench_load.py --smoke --scenario chaos"
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_load.py \
+    --smoke --scenario chaos --requests 12 \
     -o "${CHAOS_BENCH_OUTPUT:-/tmp/forms_chaos_smoke.json}"
 
 echo "==> cluster failover smoke: serve --cluster 2 --http 0 --http-demo"
 PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro serve \
     --cluster 2 --http 0 --http-demo --requests 12 --rate 400
 
-echo "==> observability overhead smoke: bench_obs.py --smoke"
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_obs.py \
-    --smoke --requests 12 \
+echo "==> observability overhead smoke: bench_load.py --smoke --scenario obs"
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_load.py \
+    --smoke --scenario obs --requests 12 \
     -o "${OBS_BENCH_OUTPUT:-/tmp/forms_obs_smoke.json}"
 
 echo "==> async wire smoke: serve --async --http 0 --http-demo"
@@ -129,9 +131,9 @@ PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m repro serve \
     --async --http 0 --http-demo --models 2 --requests 12 --rate 400 \
     --sla-mode weighted_fair
 
-echo "==> async bench smoke: bench_async.py --smoke"
-PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_async.py \
-    --smoke \
+echo "==> async bench smoke: bench_load.py --smoke --scenario async"
+PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python benchmarks/bench_load.py \
+    --smoke --scenario async \
     -o "${ASYNC_BENCH_OUTPUT:-/tmp/forms_async_smoke.json}"
 
 echo "==> docs check: check_docs.py"

@@ -43,7 +43,8 @@ The simulation stack splits scheduling from execution:
 
 ``benchmarks/run_perf_suite.py`` records the measured speedups of every
 layer of this stack to ``BENCH_engine.json`` (and
-``benchmarks/bench_serving.py`` the serving throughput/latency curve);
+``benchmarks/bench_load.py`` the serving curves, one ``--scenario`` at
+a time);
 ``scripts/checks.sh`` gates changes on the fast tier-1 tests, the
 headline perf floor, a serving smoke, and a docs-coverage check.
 """

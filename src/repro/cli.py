@@ -291,17 +291,17 @@ def run(argv=None) -> int:
                 print("ERROR: --chaos is an in-process demo; drop --http",
                       file=sys.stderr)
                 return 2
-            from .serving.demo import run_chaos_demo
+            from .perf.demo import run_chaos_demo
 
             run_chaos_demo(requests=args.requests, rate_rps=args.rate,
                            workers=args.workers, seed=args.seed)
             return 0
         if args.http is not None:
-            from .serving.demo import run_http_cli
+            from .perf.demo import run_http_cli
 
             return run_http_cli(args)
         if args.models > 1 or classes > 1:
-            from .serving.demo import run_multitenant_demo
+            from .perf.demo import run_multitenant_demo
 
             if (args.max_batch, args.max_wait_ms) != (4, 2.0):
                 print("note: --max-batch/--max-wait-ms are FIFO knobs; "
@@ -313,7 +313,7 @@ def run(argv=None) -> int:
                                  deadline_ms=deadline, workers=args.workers,
                                  backend=args.backend, seed=args.seed)
             return 0
-        from .serving.demo import run_demo
+        from .perf.demo import run_demo
 
         run_demo(requests=args.requests, rate_rps=args.rate,
                  max_batch=args.max_batch, max_wait_ms=args.max_wait_ms,

@@ -1,46 +1,29 @@
-"""Self-contained serving demos: synthetic traffic against small networks.
+"""Self-checking serving demos behind ``python -m repro serve``.
 
-Backs both ``python -m repro serve`` and ``scripts/serve_demo.py`` in two
-shapes:
+Each demo drives synthetic traffic through :mod:`repro.perf.load` — the
+load driver asserts every served output bit-identical to a direct
+serial single-image forward (per tenant) before anything is printed, so
+the demos double as end-to-end smokes of the serving contract:
 
-* :func:`run_demo` — the single-model FIFO demo (the PR-3 path): drives
-  the shared Poisson harness (:func:`repro.perf.serving.drive_poisson`,
-  the same build/serve/verify path ``benchmarks/bench_serving.py``
-  records with) and prints per-request receipts plus the operational
-  snapshot;
-* :func:`run_multitenant_demo` — the two-model, two-class SLA demo:
-  drives :func:`repro.perf.multitenant.drive_mixed_traffic` (interactive
-  class with per-request deadlines on a small model, bulk class with a
-  latency bound on a heavier one, both on one shared pool), prints
-  per-class latency/shed summaries and the registry's die-reuse stats,
-  and additionally *proves* cross-model die dedup by registering a
-  replica tenant over identical weights and asserting cache hits;
-* :func:`run_chaos_demo` — the fault-recovery demo (``--chaos``): drives
-  :func:`repro.perf.chaos.drive_chaos` — scripted stuck-at faults
-  flipped onto live dies mid-traffic, checksum detection, quarantine +
-  online re-program through the shared die cache, bounded batch retry —
-  and prints the injected scenario, the recovery receipts and the
-  die-health summary; every completed request is asserted bit-identical
-  to the *pre-fault* serial forward and every future must resolve;
-* :func:`run_http_server` / :func:`run_http_demo` — the same demo
-  servers behind the :class:`~repro.serving.HttpFrontend` (``--http``):
-  either serve until interrupted (the curl-walkthrough mode of
-  ``docs/serving.md``) or replay ``requests`` self-checking requests
-  *over the wire* — concurrent client threads, mixed classes when
-  ``models=2``, every decoded response asserted bit-identical to the
-  in-process serial forward — then drain and exit (``--http-demo``, the
-  CI smoke);
-* :func:`run_cluster_server` / :func:`run_cluster_demo` — the same wire
-  protocol through a :class:`~repro.serving.cluster.ClusterRouter` over
-  N subprocess replicas (``--cluster N``): serve until interrupted, or
-  the self-checking failover smoke (``--http-demo``) that SIGKILLs and
-  restarts a replica mid-traffic and asserts bit-identity, documented
-  receipts and zero hung requests end to end.
-
-Both demos are self-checking: every served output is asserted
-bit-identical to a direct single-image serial forward (per tenant) in
-the drivers before any summary is printed — the demos double as
-end-to-end smokes of the serving contract.
+* :func:`run_demo` — one model, FIFO: per-request receipts plus the
+  operational snapshot;
+* :func:`run_multitenant_demo` — two tenants, two SLA classes, one
+  pool: per-class latency/shed summaries, die-reuse stats, and a proof
+  of cross-model die dedup (a replica tenant over identical weights
+  programs no new die);
+* :func:`run_chaos_demo` (``--chaos``) — scripted stuck-at faults on
+  live dies, checksum detection, quarantine + online re-program,
+  bounded batch retry: the injected scenario, recovery receipts and
+  die-health summary;
+* :func:`run_http_server` / :func:`run_http_demo` (``--http``) — the
+  demo servers behind the threaded or asyncio front end: serve until
+  interrupted (the curl walkthrough of ``docs/serving.md``), or replay
+  self-checking requests over the wire, scrape the telemetry endpoints,
+  stream over SSE (asyncio) and drain (``--http-demo``);
+* :func:`run_cluster_server` / :func:`run_cluster_demo`
+  (``--cluster N``) — the same protocol through a router over N
+  subprocess replicas: serve until interrupted, or SIGKILL and restart
+  a replica mid-traffic (``--http-demo``).
 """
 
 from __future__ import annotations
@@ -50,6 +33,22 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ..obs import Observability, parse_prometheus_text
+from ..reram import (ADCSpec, DeviceSpec, DieCache, ReRAMDevice,
+                     paper_adc_bits)
+from ..serving import (AsyncFrontend, ClusterHarness, HttpClient,
+                       HttpFrontend, ModelRegistry, RoutingPolicy,
+                       WireResult)
+from .load import (ACTIVATION_BITS, BATCH_MODEL, FAST_MODEL, SHED,
+                   build_demo_server, drive, drive_faults, drive_kills,
+                   plan_traffic, replay_wire, serial_references,
+                   tenant_models, verify)
+
+
+def _printer(print_fn: Optional[Callable[[str], None]]
+             ) -> Callable[[str], None]:
+    return print_fn if print_fn is not None else (lambda line: None)
+
 
 def run_demo(requests: int = 16, rate_rps: float = 200.0,
              max_batch: int = 4, max_wait_ms: float = 2.0,
@@ -57,15 +56,14 @@ def run_demo(requests: int = 16, rate_rps: float = 200.0,
              seed: int = 0,
              print_fn: Optional[Callable[[str], None]] = print) -> Dict:
     """Serve ``requests`` Poisson arrivals and return the stats snapshot."""
-    from ..perf.serving import drive_poisson
-
-    say = print_fn if print_fn is not None else (lambda line: None)
+    say = _printer(print_fn)
     say(f"serving {requests} requests at ~{rate_rps:.0f} rps "
         f"(max_batch={max_batch}, max_wait={max_wait_ms:.1f} ms)")
-    driven = drive_poisson(rate_rps, requests, max_batch=max_batch,
-                           max_wait_ms=max_wait_ms, workers=workers,
-                           backend=backend, seed=seed)
-    results, snapshot = driven["results"], driven["snapshot"]
+    driven = drive(rate_rps, requests, max_batch=max_batch,
+                   max_wait_ms=max_wait_ms, workers=workers,
+                   backend=backend, seed=seed)
+    results = [outcome["result"] for outcome in driven["outcomes"]]
+    snapshot = driven["snapshot"]
     say("bit-identity vs serial single-image forward: OK")
 
     for served in results[: min(8, len(results))]:
@@ -97,19 +95,13 @@ def run_multitenant_demo(requests: int = 32, rate_rps: float = 400.0,
     deviates from its tenant's serial single-image forward, or if the
     replica-tenant registration fails to hit the shared die cache.
     """
-    from ..perf.multitenant import (BATCH_MODEL, FAST_MODEL,
-                                    drive_mixed_traffic, tenant_models)
-    from ..reram import (ADCSpec, DeviceSpec, DieCache, ReRAMDevice,
-                         paper_adc_bits)
-    from ..serving import ModelRegistry
-
-    say = print_fn if print_fn is not None else (lambda line: None)
+    say = _printer(print_fn)
     say(f"serving {requests} mixed-class requests at ~{rate_rps:.0f} rps "
         f"(interactive deadline "
         f"{'none' if deadline_ms is None else f'{deadline_ms:.0f} ms'}; "
         f"models '{FAST_MODEL}' + '{BATCH_MODEL}' on one pool)")
-    driven = drive_mixed_traffic(rate_rps, requests, deadline_ms=deadline_ms,
-                                 workers=workers, backend=backend, seed=seed)
+    driven = drive(rate_rps, requests, models=2, deadline_ms=deadline_ms,
+                   workers=workers, backend=backend, seed=seed)
     say("bit-identity vs per-tenant serial forwards: OK")
 
     snapshot = driven["snapshot"]
@@ -118,7 +110,9 @@ def run_multitenant_demo(requests: int = 32, rate_rps: float = 400.0,
             f"shed {group['shed']:3d}, "
             f"p50 {group['latency_p50_s'] * 1e3:7.2f} ms, "
             f"p95 {group['latency_p95_s'] * 1e3:7.2f} ms")
-    for receipt in [r for r in driven["sheds"] if r is not None][:4]:
+    receipts = [outcome["receipt"] for outcome in driven["outcomes"]
+                if outcome["receipt"] is not None]
+    for receipt in receipts[:4]:
         say(f"  shed request {receipt.request_id:3d}: {receipt.reason} "
             f"({receipt.priority_class}) after "
             f"{receipt.queue_wait_s * 1e3:.1f} ms")
@@ -135,10 +129,11 @@ def run_multitenant_demo(requests: int = 32, rate_rps: float = 400.0,
     adc = ADCSpec(bits=paper_adc_bits(config.fragment_size))
     with ModelRegistry(workers=1, die_cache=shared) as registry:
         registry.register(FAST_MODEL, models[FAST_MODEL], config, device,
-                          adc=adc, activation_bits=12)
+                          adc=adc, activation_bits=ACTIVATION_BITS)
         misses_before = shared.misses
         registry.register(f"{FAST_MODEL}-replica", models[FAST_MODEL],
-                          config, device, adc=adc, activation_bits=12)
+                          config, device, adc=adc,
+                          activation_bits=ACTIVATION_BITS)
         stats = registry.stats()
     if shared.misses != misses_before or stats["die_cache"]["hits"] == 0:
         raise AssertionError("replica tenant re-programmed dies — "
@@ -155,19 +150,16 @@ def run_chaos_demo(requests: int = 24, rate_rps: float = 400.0,
     """Break dies under live traffic and prove the recovery, end to end.
 
     Returns the server stats snapshot.  The driver
-    (:func:`repro.perf.chaos.drive_chaos`) raises if any completed
+    (:func:`repro.perf.load.drive_faults`) raises if any completed
     request deviates from its tenant's pre-fault serial forward, any
     future fails to resolve within the bounded wait, or any injected
     stuck-at fault goes undetected or unrecovered.
     """
-    from ..perf.chaos import drive_chaos
-    from ..perf.multitenant import BATCH_MODEL, FAST_MODEL
-
-    say = print_fn if print_fn is not None else (lambda line: None)
+    say = _printer(print_fn)
     say(f"chaos: serving {requests} mixed-class requests at "
         f"~{rate_rps:.0f} rps while scripted die faults land on "
         f"'{FAST_MODEL}' and '{BATCH_MODEL}'")
-    driven = drive_chaos(rate_rps, requests, workers=workers, seed=seed)
+    driven = drive_faults(rate_rps, requests, workers=workers, seed=seed)
 
     for entry in driven["injected"]:
         if entry["kind"] == "stuck_at":
@@ -181,7 +173,9 @@ def run_chaos_demo(requests: int = 24, rate_rps: float = 400.0,
         f"{snapshot['fault_recoveries']} dies; "
         f"{snapshot['requests_recovered']} requests rode a recovered "
         f"batch to completion")
-    for result in driven["recovered"][:3]:
+    served = [outcome["result"] for outcome in driven["outcomes"]
+              if outcome["result"] is not None]
+    for result in [r for r in served if r.stats.recovery is not None][:3]:
         rec = result.stats.recovery
         mitigation = next(iter(rec["mitigation"].values()), None)
         reduction = (f", planner impact reduction "
@@ -196,85 +190,9 @@ def run_chaos_demo(requests: int = 24, rate_rps: float = 400.0,
         f"{counts['quarantined']} quarantined, "
         f"{counts['reprogramming']} re-programming "
         f"({driven['health']['recoveries']} lifetime recoveries)")
-    completed = sum(result is not None for result in driven["served"])
-    say(f"bit-identity of all {completed} completed requests vs pre-fault "
+    say(f"bit-identity of all {len(served)} completed requests vs pre-fault "
         f"serial forwards: OK (zero hung futures)")
     return snapshot
-
-
-# ---------------------------------------------------------------------------
-# HTTP front end over the demo servers
-def build_demo_server(models: int = 1, *,
-                      deadline_ms: Optional[float] = 50.0,
-                      max_batch: int = 4, max_wait_ms: float = 2.0,
-                      workers: Optional[int] = None, seed: int = 0,
-                      activation_bits: int = 12, die_cache=None,
-                      obs=None, sla_mode: str = "strict"):
-    """Stand up the demo :class:`~repro.serving.InferenceServer`, idle.
-
-    The traffic-free sibling of the drive functions: builds exactly the
-    network(s) the in-process demos serve — the perf suite's post-ReLU
-    CNN for ``models=1``, the ``fast``/``batch`` tenant pair under the
-    two-class SLA policy for ``models=2`` — and returns ``(server,
-    traffic)`` where ``traffic`` describes how to aim synthetic requests
-    at it: ``traffic["images"]`` is the demo image pool and
-    ``traffic["cases"]`` one ``(model, priority, deadline_ms)`` submit
-    template per class (a single entry of ``None``s for the FIFO shape).
-    The caller owns the server (``shutdown`` closes its registry/pool).
-    ``sla_mode`` picks the cross-class arbitration (``strict`` keeps the
-    historical precedence, ``weighted_fair`` switches to
-    deficit-round-robin over the class weights) — scheduling only, never
-    the bits.
-    """
-    from ..reram import ADCSpec, DeviceSpec, ReRAMDevice, paper_adc_bits
-
-    if models not in (1, 2):
-        raise ValueError("the demo serves 1 or 2 models")
-    device = ReRAMDevice(DeviceSpec(), 0.0)
-    if models == 1:
-        from ..perf.suite import _post_relu_network
-        from .server import InferenceServer
-        model, config, images = _post_relu_network(seed=seed)
-        adc = ADCSpec(bits=paper_adc_bits(config.fragment_size))
-        policy = None
-        if sla_mode != "strict":
-            from .scheduler import PriorityClass, SlaPolicy
-            policy = SlaPolicy((PriorityClass(
-                "default", max_batch=max_batch,
-                max_wait_s=max_wait_ms / 1e3),), mode=sla_mode)
-        server = InferenceServer.from_model(
-            model, config, device, adc=adc,
-            activation_bits=activation_bits, max_batch=max_batch,
-            max_wait_s=max_wait_ms / 1e3, workers=workers,
-            die_cache=die_cache, obs=obs, policy=policy)
-        traffic = {"images": images,
-                   "cases": [(None, None, None)],
-                   "interactive_fraction": 1.0}
-        return server, traffic
-    from ..perf.multitenant import (BATCH_MODEL, BULK, FAST_MODEL,
-                                    INTERACTIVE, mixed_policy,
-                                    tenant_models)
-    from .registry import ModelRegistry
-    from .server import InferenceServer
-    tenants, config, images = tenant_models(seed=seed)
-    adc = ADCSpec(bits=paper_adc_bits(config.fragment_size))
-    registry = ModelRegistry(workers=workers, die_cache=die_cache)
-    try:
-        for name, model in tenants.items():
-            registry.register(name, model, config, device, adc=adc,
-                              activation_bits=activation_bits)
-        server = InferenceServer(registry=registry,
-                                 policy=mixed_policy(mode=sla_mode),
-                                 obs=obs)
-    except BaseException:
-        registry.close()
-        raise
-    server._owns_registry = True    # the demo's registry dies with the server
-    traffic = {"images": images,
-               "cases": [(FAST_MODEL, INTERACTIVE, deadline_ms),
-                         (BATCH_MODEL, BULK, None)],
-               "interactive_fraction": 0.4}
-    return server, traffic
 
 
 def run_http_demo(requests: int = 16, rate_rps: float = 200.0,
@@ -286,140 +204,84 @@ def run_http_demo(requests: int = 16, rate_rps: float = 200.0,
                   print_fn: Optional[Callable[[str], None]] = print) -> Dict:
     """Drive the demo server *over the wire* and verify every bit.
 
-    Replays ``requests`` open-loop Poisson arrivals as concurrent
-    ``POST /v1/infer`` calls (mixed classes and alternating JSON /
-    base64 encodings when ``models=2``), asserts every decoded response
-    bit-identical to the in-process serial single-image forward of its
-    tenant, prints the wire-side operational snapshot, then drains the
-    front end and confirms the port actually closed.  Returns the
-    ``/v1/stats`` snapshot.  Raises on any numeric deviation or any
-    failure other than an explicit shed receipt.
+    Replays ``requests`` open-loop Poisson arrivals through the driver's
+    wire target (mixed classes when ``models=2``; JSON and base64
+    payloads alternate), verifies them against the in-process serial
+    forwards, prints the wire-side snapshot, then drains the front end
+    and confirms the port actually closed.  Returns the ``/v1/stats``
+    snapshot.  Raises on any numeric deviation or any failure other than
+    an explicit shed receipt.
 
     Doubles as the observability wire smoke: before the drain it scrapes
-    ``/metrics`` (and runs the strict Prometheus-text parser over it),
-    fetches ``/v1/usage`` (asserting the billed request/shed totals match
-    the wire outcomes) and replays one served request's span tree from
+    ``/metrics`` (through the strict Prometheus-text parser), fetches
+    ``/v1/usage`` (the billed request/shed totals must match the wire
+    outcomes) and replays one served request's span tree from
     ``/v1/trace/<id>`` — skipped for the parts an explicit ``obs``
     bundle disables.
 
-    ``use_async=True`` runs the same replay through the
-    :class:`~repro.serving.aio.AsyncFrontend` instead (identical wire
-    protocol — the plan, assertions and drain proof are unchanged) and
-    additionally exercises the SSE path: one
-    ``POST /v1/infer_batch?stream=1`` whose per-item ``result`` events
-    are asserted bit-identical to the serial forwards and whose billed
-    requests are included in the ``/v1/usage`` cross-check.
-    ``sla_mode`` selects the scheduler arbitration
-    (``strict`` / ``weighted_fair``).
+    ``use_async=True`` serves through the
+    :class:`~repro.serving.aio.AsyncFrontend` instead (same protocol)
+    and adds one ``POST /v1/infer_batch?stream=1`` whose per-item
+    ``result`` events must be bit-identical to the serial forwards and
+    whose requests are billed into the ``/v1/usage`` cross-check.
+    ``sla_mode`` selects the scheduler arbitration.
     """
-    from ..obs import parse_prometheus_text
-    from ..perf.http import replay_http_open_loop
-    from ..perf.serving import poisson_arrival_offsets
-    from ..runtime import run_network_serial
-    from .http import HttpClient, HttpFrontend, WireResult
-
-    say = print_fn if print_fn is not None else (lambda line: None)
+    say = _printer(print_fn)
     server, traffic = build_demo_server(models, deadline_ms=deadline_ms,
                                         max_batch=max_batch,
                                         max_wait_ms=max_wait_ms,
                                         workers=workers, seed=seed, obs=obs,
                                         sla_mode=sla_mode)
-    images, cases = traffic["images"], traffic["cases"]
-    rng = np.random.default_rng(seed)
-    image_idx = rng.integers(0, images.shape[0], size=requests)
-    interactive = rng.random(requests) < traffic["interactive_fraction"]
-    arrival_offsets = poisson_arrival_offsets(rng, rate_rps, requests)
-
-    plan: List[Tuple[np.ndarray, Dict]] = []
-    assignments: List[Tuple[Optional[str], int]] = []
-    for i in range(requests):
-        model, priority, deadline = cases[0 if interactive[i] else -1]
-        kwargs: Dict = {"binary": bool(i % 2)}   # exercise both encodings
-        if model is not None:
-            kwargs.update(model=model, priority=priority)
-            if deadline is not None:
-                kwargs["deadline_ms"] = deadline
-        plan.append((images[image_idx[i]], kwargs))
-        assignments.append((model, int(image_idx[i])))
-
-    with server:
-        if use_async:
-            from .aio import AsyncFrontend
-            frontend = AsyncFrontend(server, host=host, port=port,
-                                     owns_server=True).start()
-        else:
-            frontend = HttpFrontend(server, host=host, port=port,
-                                    owns_server=True).start()
+    images = traffic["images"]
+    stream_model, stream_priority, _ = traffic["cases"][0]
+    frontend_cls = AsyncFrontend if use_async else HttpFrontend
+    with server, frontend_cls(server, host=host, port=port,
+                              owns_server=True) as frontend:
+        plan, offsets = plan_traffic(traffic, rate_rps, requests, seed)
+        for i, (_, kwargs, _) in enumerate(plan):
+            kwargs["binary"] = bool(i % 2)   # exercise both encodings
+        stream_idx = [key[1] for *_, key in plan[:3]]
+        references = serial_references(
+            server, images, [key[0] for *_, key in plan] + [stream_model])
         client = HttpClient.for_frontend(frontend)
         say(f"{'asyncio' if use_async else 'http'} front end on "
             f"{frontend.url} — replaying {requests} "
             f"requests at ~{rate_rps:.0f} rps over the wire "
             f"({models} model(s), sla_mode={sla_mode}, "
             f"health: {client.healthz()['status']})")
-        outcomes, open_loop_s = replay_http_open_loop(client, plan,
-                                                      arrival_offsets)
-        # the SSE exercise: stream a small batch and keep the events —
-        # bit-identity is checked against the serial refs further down,
-        # and the streamed requests are billed into /v1/usage like any
-        # other, so the totals cross-check below covers them too
+        outcomes, open_loop_s = replay_wire(client, plan, offsets)
+        # the SSE exercise: its requests are billed into /v1/usage like
+        # any other, so the totals cross-check below covers them too
         stream_events: List[Tuple[str, Dict]] = []
-        stream_model = cases[0][0]
         if use_async:
-            stream_kwargs: Dict = {}
-            if stream_model is not None:
-                stream_kwargs.update(model=stream_model,
-                                     priority=cases[0][1])
-            stream_idx = [int(i) for i in image_idx[:3]]
+            stream_kwargs = {name: value for name, value in (
+                ("model", stream_model), ("priority", stream_priority))
+                if value is not None}
             stream_events = list(client.infer_batch_stream(
                 [images[i] for i in stream_idx], binary=True,
                 **stream_kwargs))
         snapshot = client.stats()
-        # observability wire smoke, while the socket is still up: the
-        # exposition must survive the strict parser, and one served
-        # request's span tree must come back from the trace ring
+        # observability wire smoke, while the socket is still up
         exposition = (parse_prometheus_text(client.metrics())
                       if server.obs.metrics.enabled else None)
         usage = client.usage()
         traced = None
         if server.obs.tracing:
-            for outcome in outcomes:
-                if outcome["error"] is None:
-                    tid = outcome["result"].stats.get("trace_id")
-                    if tid:
-                        traced = (tid, client.trace(tid))
-                        break
-        # serial references while the networks are still reachable
-        names = {model for model, _ in assignments}
-        if use_async:
-            names.add(stream_model)
-        serial = {model: run_network_serial(
-                      server.registry.get(model).network, images, tile_size=1)
-                  for model in names}
-        frontend.shutdown()
+            tid = next((outcome["result"].stats.get("trace_id")
+                        for outcome in outcomes
+                        if outcome["result"] is not None), None)
+            if tid:
+                traced = (tid, client.trace(tid))
 
-    served = shed = 0
-    for i, outcome in enumerate(outcomes):
-        model, img = assignments[i]
-        if outcome["error"] is not None:
-            # only an explicit shed receipt is an acceptable outcome;
-            # transport-level exceptions carry no .code and must fail
-            if getattr(outcome["error"], "code", None) != "shed":
-                raise AssertionError(
-                    f"request {i} failed over the wire: {outcome['error']}")
-            shed += 1
-            continue
-        served += 1
-        if not np.array_equal(outcome["result"].output, serial[model][img]):
-            raise AssertionError(
-                f"request {i} ({model or 'default'}): decoded HTTP output "
-                "!= in-process serial forward")
+    shed = verify(plan, outcomes, references, (SHED,)).get(SHED, 0)
+    served = requests - shed
     say(f"bit-identity of all {served} served responses vs in-process "
         f"serial forwards: OK ({shed} shed with receipts)")
-    stream_served = stream_shed = 0
     if use_async:
         if not stream_events or stream_events[-1][0] != "done":
             raise AssertionError("SSE stream did not end with a 'done' "
                                  f"event: {[e for e, _ in stream_events]}")
+        stream_served = stream_shed = 0
         for event, data in stream_events[:-1]:
             if event == "shed":
                 stream_shed += 1
@@ -428,7 +290,7 @@ def run_http_demo(requests: int = 16, rate_rps: float = 200.0,
                 raise AssertionError(f"unexpected SSE event {event!r}")
             stream_served += 1
             decoded = WireResult.from_body(data)
-            ref = serial[stream_model][stream_idx[data["index"]]]
+            ref = references[stream_model][stream_idx[data["index"]]]
             if not np.array_equal(decoded.output, ref):
                 raise AssertionError(
                     f"SSE item {data['index']}: streamed output != "
@@ -498,23 +360,16 @@ def run_http_server(models: int = 1, *, host: str = "127.0.0.1",
     the live frontend once bound).  Draining shutdown on the way out;
     returns the final stats snapshot.
     """
-    from .http import HttpFrontend
-
-    say = print_fn if print_fn is not None else (lambda line: None)
+    say = _printer(print_fn)
     server, traffic = build_demo_server(models, deadline_ms=deadline_ms,
                                         max_batch=max_batch,
                                         max_wait_ms=max_wait_ms,
                                         workers=workers, seed=seed, obs=obs,
                                         sla_mode=sla_mode)
     stop = stop if stop is not None else threading.Event()
-    with server:
-        if use_async:
-            from .aio import AsyncFrontend
-            frontend = AsyncFrontend(server, host=host, port=port,
-                                     owns_server=True, log=say).start()
-        else:
-            frontend = HttpFrontend(server, host=host, port=port,
-                                    owns_server=True, log=say).start()
+    frontend_cls = AsyncFrontend if use_async else HttpFrontend
+    with server, frontend_cls(server, host=host, port=port,
+                              owns_server=True, log=say) as frontend:
         shape = list(traffic["images"].shape[1:])
         say(f"serving {server.registry.names()} on {frontend.url} "
             f"({'asyncio' if use_async else 'threaded'} front end, "
@@ -570,10 +425,7 @@ def run_cluster_server(replicas: int = 2, *, host: str = "127.0.0.1",
     ``stop`` — the test hook; ``ready`` receives the live harness).
     Returns the final ``/v1/cluster`` snapshot.
     """
-    from .cluster import ClusterHarness, RoutingPolicy
-    from .http import HttpClient
-
-    say = print_fn if print_fn is not None else (lambda line: None)
+    say = _printer(print_fn)
     stop = stop if stop is not None else threading.Event()
     policy = RoutingPolicy(hedge_delay_s=hedge_delay_s)
     with ClusterHarness(replicas, seed=seed, workers=workers,
@@ -614,63 +466,57 @@ def run_cluster_demo(requests: int = 16, rate_rps: float = 200.0,
     """Kill a replica under live routed traffic and prove the failover.
 
     The self-checking cluster smoke behind ``--cluster N --http 0
-    --http-demo``: drives :func:`repro.perf.cluster.drive_cluster_chaos`
-    — open-loop Poisson ``POST /v1/infer`` arrivals through the router
-    while the interactive tenant's primary replica is SIGKILLed and
-    restarted mid-run — and prints the failover accounting.  The driver
-    raises if any completed response deviates from the parent's serial
-    single-image forward, any request hangs, any failure is not a
-    documented receipt, or the killed replica fails to rejoin.  Returns
-    the final ``/v1/cluster`` snapshot.
+    --http-demo``: drives :func:`repro.perf.load.drive_kills` — open-loop
+    ``POST /v1/infer`` arrivals through the router while the interactive
+    tenant's primary replica is SIGKILLed and restarted mid-run — and
+    prints the failover accounting.  The driver raises if any completed
+    response deviates from the parent's serial single-image forward, any
+    request hangs, any failure is not a documented receipt, or the
+    killed replica fails to rejoin.  Returns the final ``/v1/cluster``
+    snapshot.
     """
-    from ..perf.cluster import drive_cluster_chaos
-
-    say = print_fn if print_fn is not None else (lambda line: None)
+    say = _printer(print_fn)
     say(f"cluster chaos: {requests} requests at ~{rate_rps:.0f} rps "
         f"through a router over {replicas} replica(s), SIGKILL + restart "
         f"mid-traffic")
-    driven = drive_cluster_chaos(rate_rps, requests, replicas=replicas,
-                                 replication=replication,
-                                 hedge_delay_s=hedge_delay_s,
-                                 workers=workers, seed=seed)
+    driven = drive_kills(rate_rps, requests, replicas=replicas,
+                         replication=replication,
+                         hedge_delay_s=hedge_delay_s,
+                         workers=workers, seed=seed)
     for entry in driven["kill_log"]:
         say(f"  t={entry['at_s'] * 1e3:7.1f} ms: {entry['action']} "
             f"{entry['replica']}")
     router = driven["cluster"]["router"]
     counts = driven["cluster"]["directory"]["counts"]
-    say(f"completed {driven['completed']}/{requests} "
-        f"(receipts: {driven['shed_codes'] or 'none'}); "
+    completed = requests - sum(driven["codes"].values())
+    say(f"completed {completed}/{requests} "
+        f"(receipts: {driven['codes'] or 'none'}); "
         f"{router['failovers']} failovers, "
         f"{router['hedges_fired']} hedges fired "
         f"({router['hedges_won']} won), "
         f"{router['unavailable']} unavailable receipts")
     say(f"replicas after restart: {counts['up']} up, "
         f"{counts['suspect']} suspect, {counts['down']} down")
-    say(f"bit-identity of all {driven['completed']} completed responses "
+    say(f"bit-identity of all {completed} completed responses "
         f"vs serial forwards: OK (zero hung requests; trace ids echoed)")
     return driven["cluster"]
 
 
 def run_http_cli(args) -> int:
-    """The shared ``--http`` dispatch of ``python -m repro serve`` and
-    ``scripts/serve_demo.py`` (one copy, so the two entry points cannot
-    drift): resolves the deadline, coerces the model count, prints the
-    FIFO-knobs note for the SLA shape, and runs either the self-checking
-    wire demo (``--http-demo``) or the serve-until-interrupted server —
+    """The ``--http`` dispatch of ``python -m repro serve``: resolves the
+    deadline, coerces the model count, prints the FIFO-knobs note for
+    the SLA shape, and runs either the self-checking wire demo
+    (``--http-demo``) or the serve-until-interrupted server —
     single-process by default, the replica cluster with ``--cluster N``.
     """
-    from ..obs import Observability
-
-    cluster = getattr(args, "cluster", None)
-    if cluster is not None:
-        hedge = (args.hedge_ms / 1e3 if getattr(args, "hedge_ms", None)
-                 is not None else None)
-        knobs = dict(replicas=cluster,
+    if args.cluster is not None:
+        knobs = dict(replicas=args.cluster,
                      workers=(args.workers if args.workers is not None
                               else 1),
                      seed=args.seed,
-                     replication=getattr(args, "cluster_replication", 2),
-                     hedge_delay_s=hedge)
+                     replication=args.cluster_replication,
+                     hedge_delay_s=(args.hedge_ms / 1e3
+                                    if args.hedge_ms is not None else None))
         if args.http_demo:
             run_cluster_demo(requests=args.requests, rate_rps=args.rate,
                              **knobs)
@@ -689,14 +535,13 @@ def run_http_cli(args) -> int:
     # --no-metrics / --trace-ring shape the single-process server's
     # Observability bundle (the cluster's subprocess replicas boot their
     # own defaults — the flags do not reach across the fork)
-    obs = Observability(metrics=not getattr(args, "no_metrics", False),
-                        trace_ring=getattr(args, "trace_ring", 256))
+    obs = Observability(metrics=not args.no_metrics,
+                        trace_ring=args.trace_ring)
     knobs = dict(models=models, host=args.http_host, port=args.http,
                  deadline_ms=deadline, max_batch=args.max_batch,
                  max_wait_ms=args.max_wait_ms, workers=args.workers,
-                 seed=args.seed, obs=obs,
-                 use_async=getattr(args, "use_async", False),
-                 sla_mode=getattr(args, "sla_mode", "strict"))
+                 seed=args.seed, obs=obs, use_async=args.use_async,
+                 sla_mode=args.sla_mode)
     if args.http_demo:
         run_http_demo(requests=args.requests, rate_rps=args.rate, **knobs)
     else:

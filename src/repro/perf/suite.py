@@ -489,33 +489,44 @@ def run_suite(smoke: bool = True, repeats: Optional[int] = None,
     }
 
 
+def _read_payload(path) -> Optional[Dict]:
+    """The payload of an existing BENCH file, or ``None`` if there is none.
+
+    A file that cannot be parsed raises instead of being overwritten: it
+    may hold the only copy of another recorder's trajectory.
+    """
+    if not os.path.exists(path):
+        return None
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except ValueError as exc:
+        raise ValueError(
+            f"{path} exists but is not valid JSON ({exc}); refusing to "
+            "overwrite it — it may hold records this run would drop"
+        ) from exc
+
+
+def _dump_payload(path, payload: Dict) -> None:
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2)
+        handle.write("\n")
+
+
 def write_payload(path, payload: Dict,
                   preserve_kinds: tuple = ("serving", "chaos",
                                            "cluster", "obs")) -> None:
     """Write a BENCH payload, carrying over records of other subsystems.
 
     ``run_suite`` regenerates only the *engine* records; records of the
-    kinds in ``preserve_kinds`` (the serving curves recorded by
-    ``benchmarks/bench_serving.py`` and friends, the chaos points of
-    ``benchmarks/bench_chaos.py``, the cluster kill/restart points of
-    ``benchmarks/bench_cluster.py``, the observability-overhead points of
-    ``benchmarks/bench_obs.py``) found in an existing file at ``path``
-    are appended unless the new payload already carries a record of the
-    same name — so the two recorders can share one ``BENCH_engine.json``
-    without clobbering each other.  An existing file that cannot be
-    parsed raises instead of being silently overwritten: it may hold the
-    only copy of the other recorder's trajectory.
+    kinds in ``preserve_kinds`` (every record ``benchmarks/bench_load.py``
+    writes) found in an existing file at ``path`` are appended unless the
+    new payload already carries a record of the same name — so the
+    recorders share one ``BENCH_engine.json`` without clobbering each
+    other.  An existing file that cannot be parsed raises instead of
+    being silently overwritten.
     """
-    previous = None
-    if os.path.exists(path):
-        try:
-            with open(path) as handle:
-                previous = json.load(handle)
-        except ValueError as exc:
-            raise ValueError(
-                f"{path} exists but is not valid JSON ({exc}); refusing to "
-                "overwrite it — it may hold records this run would drop"
-            ) from exc
+    previous = _read_payload(path)
     if previous is not None and preserve_kinds:
         have = {record["name"] for record in payload.get("records", [])}
         payload = dict(payload)
@@ -523,6 +534,27 @@ def write_payload(path, payload: Dict,
             record for record in previous.get("records", [])
             if record.get("kind") in preserve_kinds
             and record["name"] not in have]
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+    _dump_payload(path, payload)
+
+
+def merge_records(payload: Dict, records: List[Dict]) -> Dict:
+    """Replace-or-append ``records`` in a BENCH payload by name, in place;
+    every other record is untouched."""
+    by_name = {record["name"]: record for record in records}
+    kept = [by_name.pop(record["name"], record)
+            for record in payload.get("records", [])]
+    kept.extend(record for record in records if record["name"] in by_name)
+    payload["records"] = kept
+    return payload
+
+
+def merge_records_into_file(path, records: List[Dict]) -> Dict:
+    """Merge ``records`` into the BENCH file at ``path`` (created if
+    absent) and return the merged payload; a corrupt file raises
+    :class:`ValueError` and is left as it is."""
+    payload = _read_payload(path)
+    if payload is None:
+        payload = {"schema": BENCH_SCHEMA, "records": []}
+    merge_records(payload, records)
+    _dump_payload(path, payload)
+    return payload

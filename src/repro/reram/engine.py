@@ -229,11 +229,6 @@ class EngineStats:
                                   init=False, repr=False, compare=False)
 
     @property
-    def jobs_computed(self) -> int:
-        """Backward-compatible alias of ``jobs_scheduled``."""
-        return self.jobs_scheduled
-
-    @property
     def saturation_fraction(self) -> float:
         return self.saturated / self.conversions if self.conversions else 0.0
 

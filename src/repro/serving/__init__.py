@@ -78,13 +78,12 @@ Components
   :class:`~repro.reram.faults.FaultInjector`).  Retry-exhausted batches
   shed with :data:`SHED_FAULT_RECOVERY` receipts.
 
-``benchmarks/bench_serving.py`` records single-tenant open-loop Poisson
-curves, ``benchmarks/bench_multitenant.py`` the mixed-class
-multi-tenant contention scenario, and ``benchmarks/bench_http.py`` the
-same open-loop traffic through the HTTP front end (queue + transport
-end to end), all into ``BENCH_engine.json``; ``python -m repro serve``
-runs self-checking demos of either shape (``--http`` puts them on a
-socket).
+``benchmarks/bench_load.py`` drives this layer through the open-loop
+load driver in :mod:`repro.perf.load` — single-tenant and multi-tenant
+traffic, in process, over the wire and as a connection crowd, under die
+faults and replica kills — and records the curves into
+``BENCH_engine.json``; ``python -m repro serve`` runs self-checking
+demos on the same driver (``--http`` puts them on a socket).
 """
 
 from ..obs import Observability

@@ -44,8 +44,9 @@ background thread, :meth:`AsyncFrontend.start` /
 :meth:`AsyncFrontend.shutdown` (drain semantics: refuse new work,
 resolve or shed everything accepted, close the port), context-manager
 support, ``owns_server`` deciding whether shutdown drains the inference
-server too.  ``benchmarks/bench_async.py`` holds hundreds of concurrent
-connections against it and records ``serving_async_r*`` curves.
+server too.  ``benchmarks/bench_load.py --scenario async`` holds
+hundreds of concurrent connections against it and records
+``serving_async_r*`` curves.
 """
 
 from __future__ import annotations

@@ -317,4 +317,4 @@ class TestStatsAccounting:
         x = np.full((geom.rows, 2), 15, dtype=np.int64)  # every bit live
         engine.matvec_int(x)
         assert engine.stats.skip_fraction == 0.0
-        assert engine.stats.jobs_computed > 0
+        assert engine.stats.jobs_scheduled > 0

@@ -5,13 +5,14 @@ subprocesses behind a real router socket): a replica dies mid-request
 and the caller never notices — every completed answer bit-identical to
 the parent's serial forward, every failure a documented receipt, every
 request resolved in bounded time, and the restarted replica rejoins.
-Request counts are kept small; ``benchmarks/bench_cluster.py --smoke``
-runs the same contract at load.
+Request counts are kept small; ``benchmarks/bench_load.py --scenario
+cluster --smoke`` runs the same contract at load.
 """
 
 import numpy as np
 
-from repro.perf.cluster import ALLOWED_ERROR_CODES, drive_cluster_chaos
+from repro.perf.load import (CLUSTER_UNAVAILABLE, FAST_MODEL, SHED,
+                             build_demo_server, drive_kills)
 from repro.serving.cluster import ClusterHarness
 
 
@@ -19,9 +20,7 @@ class TestSubprocessCluster:
     def test_boot_serve_kill_restart(self):
         """The harness lifecycle by hand: spawn, serve through the
         router, SIGKILL a replica, keep serving, restart, rejoin."""
-        from repro.perf.multitenant import FAST_MODEL
         from repro.runtime import run_network_serial
-        from repro.serving.demo import build_demo_server
 
         server, traffic = build_demo_server(2, workers=1, seed=0,
                                             deadline_ms=None)
@@ -49,11 +48,11 @@ class TestSubprocessCluster:
         """One driven point: the bit-identity / documented-receipts /
         zero-hung / rejoin contract is asserted inside the driver; here
         we check the artifacts it hands back."""
-        driven = drive_cluster_chaos(200.0, 8, replicas=2, kills=1,
-                                     restart=True, seed=0)
-        assert driven["completed"] >= 1
-        assert driven["completed"] + sum(driven["shed_codes"].values()) == 8
-        assert set(driven["shed_codes"]) <= set(ALLOWED_ERROR_CODES)
+        driven = drive_kills(200.0, 8, replicas=2, seed=0)
+        completed = sum(o["result"] is not None for o in driven["outcomes"])
+        assert completed >= 1
+        assert completed + sum(driven["codes"].values()) == 8
+        assert set(driven["codes"]) <= {SHED, CLUSTER_UNAVAILABLE}
         actions = [entry["action"] for entry in driven["kill_log"]]
         assert actions == ["kill", "restart"]
         assert driven["cluster"]["router"]["attempts"] >= 8

@@ -13,7 +13,9 @@ import time
 import numpy as np
 import pytest
 
-from repro.perf.multitenant import drive_mixed_traffic, tenant_models
+from repro.perf.load import (SHED, mixed_policy, plan_traffic,
+                             serial_references, submit_open_loop,
+                             tenant_models, verify)
 from repro.reram import ADCSpec, DeviceSpec, ReRAMDevice, paper_adc_bits
 from repro.reram.nonideal import ReadNoise
 from repro.reram.nonideal_engine import NonidealEngine
@@ -98,14 +100,21 @@ class TestMixedTrafficBitIdentity:
         assert all(len(models) == 1 for models in batch_models.values())
 
     def test_mixed_driver_with_read_noise(self, tenants):
-        """The perf driver's own bit-identity assertion holds under read
+        """The load driver's bit-identity assertion holds under read
         noise (keyed substreams survive the multi-tenant scheduler)."""
-        spec = DeviceSpec()
-        noise = ReadNoise.for_fragment(8, spec.g_max, spec.read_voltage,
-                                       relative_sigma=0.05, seed=3)
-        driven = drive_mixed_traffic(300.0, 10, workers=2, seed=1,
-                                     read_noise=noise)
-        assert sum(r is not None for r in driven["served"]) >= 1
+        images = tenants[2]
+        traffic = {"images": images,
+                   "cases": [("fast", "interactive", 50.0),
+                             ("batch", "bulk", None)]}
+        registry = make_registry(tenants, noise=True)
+        with registry, InferenceServer(registry=registry,
+                                       policy=mixed_policy()) as server:
+            plan, offsets = plan_traffic(traffic, 300.0, 10, seed=1)
+            references = serial_references(server, images,
+                                           ("fast", "batch"))
+            outcomes, _ = submit_open_loop(server, plan, offsets)
+        verify(plan, outcomes, references, (SHED,))
+        assert sum(o["result"] is not None for o in outcomes) >= 1
 
 
 class TestSheddingIsolation:

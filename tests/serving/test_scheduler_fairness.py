@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.perf.multitenant import mixed_policy
+from repro.perf.load import mixed_policy
 from repro.perf.suite import _post_relu_network
 from repro.reram import ADCSpec, DeviceSpec, ReRAMDevice, paper_adc_bits
 from repro.runtime import run_network_serial
@@ -99,10 +99,9 @@ class TestModeSurface:
                       mode=SLA_MODE_WEIGHTED_FAIR, aging_s=0.0)
 
     def test_mixed_policy_threads_mode_and_weights(self):
-        policy = mixed_policy(mode=SLA_MODE_WEIGHTED_FAIR,
-                              interactive_weight=7.0, bulk_weight=2.0)
+        policy = mixed_policy(mode=SLA_MODE_WEIGHTED_FAIR)
         assert policy.mode == SLA_MODE_WEIGHTED_FAIR
-        assert [cls.weight for cls in policy.classes] == [7.0, 2.0]
+        assert [cls.weight for cls in policy.classes] == [4.0, 1.0]
 
 
 class TestSaturationFairness:
